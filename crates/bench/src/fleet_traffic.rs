@@ -102,8 +102,9 @@ struct Measured {
 /// else — drain, the serial replay commit, scanner plan/commit,
 /// khugepaged, sampling — stays serial.
 ///
-/// At 1 thread the engine takes the direct path (no plan phase), so the
-/// serial run's `total_ns` is the honest 1-thread cost. The sharded
+/// At 1 thread the plan phase records the same tapes on the calling
+/// thread, so the serial run's `total_ns` is the honest 1-thread cost
+/// of the one path every thread count takes. The sharded
 /// run's phases are measured back-to-back on this host; dividing its
 /// parallel portion by 8 is the Amdahl term. Using the sharded run's
 /// own (overhead-inflated) serial residue keeps the projection
@@ -116,7 +117,7 @@ fn project(serial: &TrafficWall, sharded: &TrafficWall) -> (f64, f64) {
 }
 
 fn measure(guests: usize, scenario: &Scenario) -> Measured {
-    // Serial run: the direct-path workload cost (no plan phase).
+    // Serial run: the whole workload on one thread, tapes included.
     let cfg1 = fleet_config(guests, BENCH_SECONDS, 1);
     let start = Instant::now();
     let (report, serial) =

@@ -43,7 +43,7 @@ pub fn default_threads() -> usize {
 }
 
 /// Applies `f` to every item on a scoped worker pool, returning results
-/// in input order.
+/// in input order: [`map_sharded`] over references to the items.
 ///
 /// With `threads <= 1` the map runs serially on the calling thread;
 /// either way the results are identical — parallelism only changes
@@ -55,10 +55,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_parallel_timed(items, threads, f)
-        .into_iter()
-        .map(|timed| timed.value)
-        .collect()
+    let mut refs: Vec<&T> = items.iter().collect();
+    map_sharded(&mut refs, threads, |_, item| f(item))
 }
 
 /// [`map_parallel`], with per-item wall-clock timing attached.
@@ -69,41 +67,14 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let time_one = |item: &T| {
+    map_parallel(items, threads, |item| {
         let start = Instant::now();
         let value = f(item);
         Timed {
             value,
             wall: start.elapsed(),
         }
-    };
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(time_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut pairs: Vec<(usize, Timed<R>)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, time_one(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            pairs.extend(handle.join().expect("pool worker panicked"));
-        }
-    });
-    pairs.sort_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, timed)| timed).collect()
+    })
 }
 
 /// Applies `f` to every item of a mutable slice on a scoped worker

@@ -27,7 +27,8 @@
 //! duration `s`, which is what `tests/telemetry.rs` checks against the
 //! `collect_naive` oracle.
 //!
-//! Endpoints (HTTP/1.0, text or JSON, one request per connection):
+//! Endpoints (HTTP/1.0, text or JSON, one request per connection; a
+//! request head over 8 KiB, or a malformed one, is answered 400):
 //!
 //! | path                    | payload                                       |
 //! |-------------------------|-----------------------------------------------|
@@ -48,13 +49,13 @@ use crate::run::TickWorld;
 use crate::telemetry;
 use crate::traffic_run::TrafficWorld;
 use crate::{Error, ExperimentConfig};
-use analysis::{BreakdownReport, MergeMissReport, SnapshotEngine};
+use analysis::{BreakdownReport, GuestView, MergeMissReport, SnapshotEngine};
 use hypervisor::KvmHost;
 use ksm::KsmScanner;
 use mem::Tick;
 use obs::{MetricClass, MetricsRegistry};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -230,9 +231,9 @@ impl Daemon {
     }
 }
 
-/// The world driver: both modes expose the same per-tick step. The
-/// worlds are boxed — each carries hundreds of bytes of inline state
-/// (the traffic world also drags its whole event queue along).
+/// The world driver: what differs between the two modes. The worlds
+/// are boxed — each carries hundreds of bytes of inline state (the
+/// traffic world also drags its whole event queue along).
 enum Driver {
     Tick(Box<TickWorld>),
     Traffic(Box<TrafficWorld>),
@@ -246,17 +247,19 @@ impl Driver {
         }
     }
 
-    fn host(&self) -> &KvmHost {
+    /// What a publish reads: the host, its scanner, the guest views and,
+    /// under traffic, the traffic world itself.
+    fn parts(
+        &self,
+    ) -> (
+        &KvmHost,
+        &KsmScanner,
+        Vec<GuestView<'_>>,
+        Option<&TrafficWorld>,
+    ) {
         match self {
-            Driver::Tick(w) => &w.host,
-            Driver::Traffic(w) => &w.host,
-        }
-    }
-
-    fn scanner(&self) -> &KsmScanner {
-        match self {
-            Driver::Tick(w) => &w.scanner,
-            Driver::Traffic(w) => &w.scanner,
+            Driver::Tick(w) => (&w.host, &w.tail.scanner, w.views(), None),
+            Driver::Traffic(w) => (&w.host, &w.tail.scanner, w.views(), Some(w)),
         }
     }
 }
@@ -284,39 +287,30 @@ fn run_ticker(cfg: &DaemonConfig, shared: &Shared) {
 
     let mut second = 0u64;
     while !shared.stop.load(Ordering::SeqCst) {
-        if second < duration {
+        let ticking = second < duration;
+        if ticking {
             second += 1;
             for t in (second - 1) * ticks_per_second + 1..=second * ticks_per_second {
                 driver.step(t);
-            }
-            let state = publish(
-                &driver,
-                &mut engine,
-                &mut wall,
-                shared,
-                second,
-                second < duration,
-                &mut prev_merges,
-            );
-            *shared.state.write().expect("state lock") = Arc::new(state);
-            if cfg.throttle_ms > 0 {
-                std::thread::sleep(Duration::from_millis(cfg.throttle_ms));
             }
         } else {
             // The run is over: the world idles, the engine's epoch
             // short-circuit makes republishing cheap, and only the
             // wall-clock series (query counts) still move.
             std::thread::sleep(Duration::from_millis(100));
-            let state = publish(
-                &driver,
-                &mut engine,
-                &mut wall,
-                shared,
-                second,
-                false,
-                &mut prev_merges,
-            );
-            *shared.state.write().expect("state lock") = Arc::new(state);
+        }
+        let state = publish(
+            &driver,
+            &mut engine,
+            &mut wall,
+            shared,
+            second,
+            second < duration,
+            &mut prev_merges,
+        );
+        *shared.state.write().expect("state lock") = Arc::new(state);
+        if ticking && cfg.throttle_ms > 0 {
+            std::thread::sleep(Duration::from_millis(cfg.throttle_ms));
         }
     }
 }
@@ -331,20 +325,14 @@ fn publish(
     running: bool,
     prev_merges: &mut u64,
 ) -> ServedState {
-    let host = driver.host();
-    let scanner = driver.scanner();
+    let (host, scanner, views, traffic) = driver.parts();
     let now = Tick::from_seconds(second as f64);
 
     // The warm attribution walk: only spaces whose generations moved
     // since the previous second are re-walked. Timed into the separated
     // wall-clock histogram.
     let walk_started = Instant::now();
-    let views = match driver {
-        Driver::Tick(w) => w.views(),
-        Driver::Traffic(w) => w.views(),
-    };
     let snapshot = engine.snapshot(host.mm(), &views);
-    drop(views);
     wall.observe(
         "engine_walk_latency_ns",
         "Wall-clock latency of the per-epoch attribution walk (non-deterministic).",
@@ -364,7 +352,7 @@ fn publish(
     // Deterministic registry, rebuilt from layer counters; wall-clock
     // series merged behind it.
     let mut reg = telemetry::world_registry(host, scanner, engine, now);
-    if let Driver::Traffic(w) = driver {
+    if let Some(w) = traffic {
         w.report.record_metrics(&mut reg);
         // Step-phase wall clocks (DESIGN.md §14): cumulative in the
         // world, exported as per-publish increments on the persistent
@@ -407,10 +395,7 @@ fn publish(
     *prev_merges = merges;
 
     let (shared_pages, sharing_pages) = scanner.count_sharing(host.mm());
-    let per_guest_traffic = match driver {
-        Driver::Traffic(w) => Some(w.report.per_guest.as_slice()),
-        Driver::Tick(_) => None,
-    };
+    let per_guest_traffic = traffic.map(|w| w.report.per_guest.as_slice());
 
     let guests = render_guests(host, &breakdown, second, per_guest_traffic);
     let fleet = render_fleet(
@@ -716,30 +701,29 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// The largest request head (request line plus headers) the daemon
+/// reads. A longer one is answered 400 without being buffered.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// After a 400, how much of the rest of the request the daemon reads
+/// and drops before closing, so the client sees the answer rather than
+/// a connection reset.
+const DRAIN_BYTES: u64 = 1024 * 1024;
+
 /// Answers one HTTP/1.0 request from the published state.
-fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
-    let mut reader = BufReader::new(&stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    let path = match request_line.split_whitespace().nth(1) {
-        Some(p) => p.to_string(),
-        None => return, // e.g. the shutdown wake-up connection
-    };
-    // Drain the (ignored) headers so the client can write them fully.
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => {}
-            Err(_) => return,
+fn handle(mut stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
+    let path = match read_request(&stream) {
+        Ok(Some(path)) => path,
+        Ok(None) => return, // e.g. the shutdown wake-up connection
+        Err(()) => {
+            let _ = respond(&mut stream, 400, "text/plain", "bad request\n");
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+            let _ = std::io::copy(&mut (&stream).take(DRAIN_BYTES), &mut std::io::sink());
+            return;
         }
-    }
+    };
     shared.queries.fetch_add(1, Ordering::Relaxed);
 
-    let mut stream = stream;
     if path == "/shutdown" {
         shared.stop.store(true, Ordering::SeqCst);
         let _ = respond(&mut stream, 200, "text/plain", "shutting down\n");
@@ -760,13 +744,52 @@ fn handle(stream: TcpStream, shared: &Shared, addr: Option<SocketAddr>) {
     }
 }
 
+/// Reads one request head, at most [`MAX_REQUEST_BYTES`] of it, and
+/// returns the path of its request line; the headers are read and
+/// ignored. `Ok(None)` means the client sent nothing at all; `Err`
+/// means the head was malformed, cut short or over the cap.
+fn read_request(stream: &TcpStream) -> Result<Option<String>, ()> {
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_BYTES));
+    let mut line = Vec::new();
+    let mut path = None;
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line).map_err(|_| ())?;
+        if n == 0 && path.is_none() {
+            return Ok(None);
+        }
+        if !line.ends_with(b"\n") {
+            return Err(()); // cut short by the client or by the cap
+        }
+        if path.is_none() {
+            path = Some(request_path(&line).ok_or(())?);
+        } else if line == b"\r\n" || line == b"\n" {
+            return Ok(path);
+        }
+    }
+}
+
+/// The path of a `<method> <path> HTTP/<version>` request line.
+fn request_path(line: &[u8]) -> Option<String> {
+    let mut words = std::str::from_utf8(line).ok()?.split_whitespace();
+    let (_method, path, version) = (words.next()?, words.next()?, words.next()?);
+    let well_formed =
+        path.starts_with('/') && version.starts_with("HTTP/") && words.next().is_none();
+    well_formed.then(|| path.to_string())
+}
+
 fn respond(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let reason = if status == 200 { "OK" } else { "Not Found" };
+    let reason = match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        _ => "Error",
+    };
     write!(
         stream,
         "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -874,6 +897,60 @@ mod tests {
         assert!(
             metrics.contains("traffic_plan_wall_ns_total"),
             "got: {metrics}"
+        );
+        daemon.shutdown();
+        daemon.join();
+    }
+
+    #[test]
+    fn hostile_clients_get_400_and_the_daemon_keeps_serving() {
+        let config = ExperimentConfig::tiny_test(1, false).with_duration_seconds(5);
+        let mut daemon = Daemon::spawn(DaemonConfig::new(config)).unwrap();
+        wait_for_epoch(&daemon, 1);
+        let addr = daemon.addr();
+        // Sends `request` in full, closes the sending half and returns
+        // whatever the daemon answered.
+        let exchange = |request: Vec<u8>| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let writer = {
+                let mut stream = stream.try_clone().unwrap();
+                std::thread::spawn(move || {
+                    let _ = stream.write_all(&request);
+                    let _ = stream.shutdown(std::net::Shutdown::Write);
+                })
+            };
+            let mut reply = String::new();
+            let _ = stream.read_to_string(&mut reply);
+            writer.join().unwrap();
+            reply
+        };
+        let oversized_line = [b"GET /".as_slice(), &[b'a'; 16 * 1024]].concat();
+        let endless_header = [
+            b"GET /healthz HTTP/1.0\r\nX-Endless: ".as_slice(),
+            &[b'b'; 256 * 1024],
+        ]
+        .concat();
+        let garbage = b"\x00\xff\xfe\x01 garbage \x80\r\n\r\n".to_vec();
+        for request in [oversized_line, endless_header, garbage] {
+            let reply = exchange(request);
+            assert!(
+                reply.starts_with("HTTP/1.0 400 Bad Request\r\n"),
+                "got: {reply}"
+            );
+        }
+        // A head just under the cap is still served.
+        let long_header = format!(
+            "GET /healthz HTTP/1.0\r\nX-Pad: {}\r\n\r\n",
+            "c".repeat(7000)
+        );
+        let reply = exchange(long_header.into_bytes());
+        assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "got: {reply}");
+        let health = http_get(&addr.to_string(), "/healthz").unwrap();
+        assert!(health.starts_with("ok epoch="), "got: {health}");
+        let missing = exchange(b"GET /nope HTTP/1.0\r\n\r\n".to_vec());
+        assert!(
+            missing.starts_with("HTTP/1.0 404 Not Found\r\n"),
+            "got: {missing}"
         );
         daemon.shutdown();
         daemon.join();

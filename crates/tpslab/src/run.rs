@@ -1,11 +1,13 @@
-//! The KVM experiment runner.
+//! The KVM experiment runner: one tick loop, [`TickWorld::run_to_end`],
+//! behind [`Experiment::run`] (which hangs its timeline sampler on it),
+//! [`Experiment::build_world`] and the telemetry scrape.
 
 use crate::{ExperimentConfig, ExperimentReport, TimelinePoint, VmThroughput};
-use analysis::{GuestView, SnapshotEngine};
+use analysis::{BreakdownReport, GuestView, SnapshotEngine};
 use cds::{CacheBuilder, SharedClassCache};
 use hypervisor::{KvmHost, PagingModel};
 use jvm::{ClassSet, JavaVm, JvmConfig};
-use ksm::{KsmScanner, KsmStats};
+use ksm::{KsmParams, KsmScanner, KsmStats};
 use mem::{Fingerprint, Tick};
 use obs::Profiler;
 use std::collections::HashMap;
@@ -30,17 +32,13 @@ impl Experiment {
     /// the simulation manually with [`tick_world`](Self::tick_world).
     #[must_use]
     pub fn build_world(config: &ExperimentConfig) -> (KvmHost, Vec<JavaVm>) {
-        let mut world = TickWorld::new(config);
-        let end = Tick::from_seconds(config.duration_seconds as f64);
-        for t in 1..=end.0 {
-            world.step(t);
-        }
+        let world = TickWorld::run_to_end(config, |_, _| {});
         (world.host, world.javas)
     }
 
     /// Advances the world one tick: every guest OS and its JVM, in
-    /// guest order (exactly the per-tick step of [`run`](Self::run),
-    /// without KSM scanning).
+    /// guest order (exactly the guest half of [`run`](Self::run)'s
+    /// per-tick step, without khugepaged or KSM scanning).
     pub fn tick_world(host: &mut KvmHost, javas: &mut [JavaVm], now: Tick) {
         for (i, java) in javas.iter_mut().enumerate() {
             let (mm, guest) = host.mm_and_guest_mut(i);
@@ -59,164 +57,35 @@ impl Experiment {
     /// memory budget) — see [`ExperimentConfig::validate`].
     pub fn run(config: &ExperimentConfig) -> Result<ExperimentReport, crate::Error> {
         config.validate()?;
-        let mut prof = if config.profile {
-            Profiler::enabled()
-        } else {
-            Profiler::disabled()
-        };
-        let setup_started = prof.begin();
-        let (mut host, mut javas, caches, _) = boot_world(config);
-        prof.end(
-            "setup",
-            setup_started,
-            0,
-            host.mm().phys().allocated_frames() as u64,
-        );
+        let mut sampler = Sampler::new(config);
+        let mut world = TickWorld::run_to_end(config, |world, now| sampler.sample(world, now));
 
-        // The simulation loop: guests, JVMs, and the KSM scanner.
-        // Debug builds self-check unconditionally, so every test that
-        // runs an experiment also audits it; `--audit` extends the
-        // check to release runs.
-        let audit_enabled = config.audit || cfg!(debug_assertions);
-        let mut scanner = KsmScanner::new(config.ksm.warmup).with_threads(config.threads);
-        let warmup_end = Tick::from_seconds(config.ksm.warmup_seconds as f64);
-        let end = Tick::from_seconds(config.duration_seconds as f64);
-        let mut switched = false;
-        let sample_ticks = config
-            .timeline
-            .map(|tl| tl.every_seconds * u64::from(mem::TICKS_PER_SECOND as u32));
-        let attribution = config.timeline.is_some_and(|tl| tl.attribution);
-        // One engine for the whole run: per-sample walks reuse the
-        // cached segments of address spaces whose region generations did
-        // not move since the previous sample, and walk the dirty ones on
-        // `config.threads` workers. The report stays bit-identical to a
-        // single-threaded from-scratch walk at every sample.
-        let mut engine = SnapshotEngine::new(config.threads);
-        let mut timeline = Vec::new();
-        let mut last_stats = KsmStats::default();
-        for t in 1..=end.0 {
-            let now = Tick(t);
-            let tick_started = prof.begin();
-            let writes_before = host.mm().phys().total_writes();
-            Experiment::tick_world(&mut host, &mut javas, now);
-            prof.end(
-                "guest_jvm_tick",
-                tick_started,
-                1,
-                host.mm().phys().total_writes() - writes_before,
-            );
-            // khugepaged runs as a once-per-second host daemon, between
-            // the guest ticks and the KSM wake (like the real kernel's
-            // independent kthreads, collapse and merge interleave).
-            if t.is_multiple_of(mem::TICKS_PER_SECOND) {
-                host.thp_scan(now);
-            }
-            if !switched && now >= warmup_end {
-                scanner.set_params(config.ksm.steady);
-                switched = true;
-            }
-            let scan_started = prof.begin();
-            let scanned_before = scanner.stats().pages_scanned;
-            scanner.run(host.mm_mut(), now);
-            prof.end(
-                "ksm_scan",
-                scan_started,
-                1,
-                scanner.stats().pages_scanned - scanned_before,
-            );
-            if let Some(every) = sample_ticks {
-                if t % every == 0 {
-                    let sample_started = prof.begin();
-                    scanner.recount(host.mm());
-                    if audit_enabled {
-                        audit_world(&host, &javas, &scanner);
-                    }
-                    let stats = scanner.stats();
-                    prof.end("timeline_sample", sample_started, 0, 0);
-                    // The full per-PTE attribution walk is far more
-                    // expensive than the recount, so it is gated behind
-                    // its own timeline flag; the engine keeps it cheap
-                    // by re-walking only mutated address spaces.
-                    let tps_saving_mib = if attribution {
-                        let attr_started = prof.begin();
-                        let views: Vec<GuestView<'_>> = host
-                            .guests()
-                            .iter()
-                            .zip(&javas)
-                            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-                            .collect();
-                        let snapshot = engine.snapshot(host.mm(), &views);
-                        let saving = snapshot
-                            .breakdown()
-                            .guests
-                            .iter()
-                            .map(analysis::GuestBreakdown::tps_saving_mib)
-                            .sum();
-                        prof.end(
-                            "attribution",
-                            attr_started,
-                            0,
-                            host.mm().phys().allocated_frames() as u64,
-                        );
-                        Some(saving)
-                    } else {
-                        None
-                    };
-                    timeline.push(TimelinePoint {
-                        seconds: now.as_seconds(),
-                        resident_mib: host.resident_mib(),
-                        pages_sharing: stats.pages_sharing,
-                        pages_shared: stats.pages_shared,
-                        full_scans: stats.full_scans,
-                        delta: stats.delta(&last_stats),
-                        tps_saving_mib,
-                    });
-                    last_stats = stats;
-                }
-            }
-        }
-        let final_started = prof.begin();
-        scanner.recount(host.mm());
-        if audit_enabled {
-            audit_world(&host, &javas, &scanner);
-        }
-        prof.end("final_recount", final_started, 0, 0);
-
+        let final_started = world.prof.begin();
+        world.recount();
+        world.prof.end("final_recount", final_started, 0, 0);
         // Attribution walk (§II) and rollup.
-        let attr_started = prof.begin();
-        let views: Vec<GuestView<'_>> = host
-            .guests()
-            .iter()
-            .zip(&javas)
-            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-            .collect();
-        let snapshot = engine.snapshot(host.mm(), &views);
-        let breakdown = snapshot.breakdown();
-        drop(views);
-        prof.end(
-            "attribution",
-            attr_started,
-            0,
-            host.mm().phys().allocated_frames() as u64,
-        );
+        let breakdown = sampler.attribute(&mut world);
 
         // Merge-miss diagnostics over the final state: classify the
         // sharing an ideal merger would still find. Must run before the
         // trace log is drained — the COW-broken class needs the
         // tracer's broken-mapping set.
+        let scanner = &world.tail.scanner;
         let merge_miss = config.diagnose.then(|| {
             analysis::diagnose_misses(
-                host.mm(),
+                world.host.mm(),
                 scanner.params().max_page_sharing(),
                 scanner.volatility_horizon(),
-                &host.mm().tracer().broken_mappings(),
+                &world.host.mm().tracer().broken_mappings(),
             )
         });
-        let trace = config.trace.then(|| host.mm_mut().tracer_mut().take_log());
-        let phases = config.profile.then(|| prof.report());
+        let trace = config
+            .trace
+            .then(|| world.host.mm_mut().tracer_mut().take_log());
+        let phases = config.profile.then(|| world.prof.report());
 
         // Over-commit throughput model (Figs. 7–8).
-        let resident_mib = host.resident_mib();
+        let resident_mib = world.host.resident_mib();
         let cold_mib: f64 = config
             .guests
             .iter()
@@ -229,19 +98,8 @@ impl Experiment {
             config.host.reserve_mib,
             cold_mib,
         );
-        // TLB-reach credit: huge mappings shrink the page-walk overhead,
-        // recovering some of the paging slowdown — never beyond the
-        // healthy rate. With no huge pages the boost is exactly 1.0 and
-        // the service factor degenerates to the pure paging slowdown.
-        let huge_mib = host.huge_mib();
-        let allocated = host.mm().phys().allocated_frames();
-        let huge_fraction = if allocated == 0 {
-            0.0
-        } else {
-            host.huge_pages() as f64 / allocated as f64
-        };
-        let tlb_boost = paging.tlb_boost(huge_fraction);
-        let service = (slowdown * tlb_boost).min(1.0);
+        let (tlb_boost, service) = tlb_credit(&world.host, &paging);
+        let service = service(slowdown);
         let throughput = config
             .guests
             .iter()
@@ -255,13 +113,185 @@ impl Experiment {
 
         Ok(ExperimentReport {
             breakdown,
-            ksm: scanner.stats(),
+            ksm: world.tail.scanner.stats(),
             resident_mib,
             usable_mib: config.host.usable_mib(),
             slowdown,
-            huge_mib,
+            huge_mib: world.host.huge_mib(),
             tlb_boost,
             throughput,
+            caches: world.caches,
+            timeline: sampler.timeline,
+            merge_miss,
+            phases,
+            trace,
+        })
+    }
+}
+
+/// [`Experiment::run`]'s hook on the step loop. On the timeline cadence
+/// it recounts, audits, optionally walks attribution and records a
+/// [`TimelinePoint`]; it also owns the run's attribution engine.
+struct Sampler {
+    /// Ticks between timeline samples; `None` without a timeline.
+    every: Option<u64>,
+    /// Walk attribution at every sample (the timeline's own flag).
+    attribution: bool,
+    /// One engine for the whole run: per-sample walks reuse the cached
+    /// segments of address spaces whose region generations did not move
+    /// since the previous sample, and walk the dirty ones on
+    /// `config.threads` workers. The report stays bit-identical to a
+    /// single-threaded from-scratch walk at every sample.
+    engine: SnapshotEngine,
+    timeline: Vec<TimelinePoint>,
+    last: KsmStats,
+}
+
+impl Sampler {
+    fn new(config: &ExperimentConfig) -> Sampler {
+        Sampler {
+            every: config
+                .timeline
+                .map(|tl| tl.every_seconds * u64::from(mem::TICKS_PER_SECOND as u32)),
+            attribution: config.timeline.is_some_and(|tl| tl.attribution),
+            engine: SnapshotEngine::new(config.threads),
+            timeline: Vec::new(),
+            last: KsmStats::default(),
+        }
+    }
+
+    /// Takes a timeline sample if `now` falls on the cadence.
+    fn sample(&mut self, world: &mut TickWorld, now: Tick) {
+        if self.every.is_none_or(|every| !now.0.is_multiple_of(every)) {
+            return;
+        }
+        let started = world.prof.begin();
+        world.recount();
+        world.prof.end("timeline_sample", started, 0, 0);
+        let stats = world.tail.scanner.stats();
+        // The full per-PTE attribution walk is far more expensive than
+        // the recount, so it is gated behind its own timeline flag; the
+        // engine keeps it cheap by re-walking only mutated address
+        // spaces.
+        let tps_saving_mib = if self.attribution {
+            let breakdown = self.attribute(world);
+            Some(
+                breakdown
+                    .guests
+                    .iter()
+                    .map(analysis::GuestBreakdown::tps_saving_mib)
+                    .sum(),
+            )
+        } else {
+            None
+        };
+        self.timeline.push(TimelinePoint {
+            seconds: now.as_seconds(),
+            resident_mib: world.host.resident_mib(),
+            pages_sharing: stats.pages_sharing,
+            pages_shared: stats.pages_shared,
+            full_scans: stats.full_scans,
+            delta: stats.delta(&self.last),
+            tps_saving_mib,
+        });
+        self.last = stats;
+    }
+
+    /// The attribution walk over the world's current state, profiled as
+    /// the `attribution` phase.
+    fn attribute(&mut self, world: &mut TickWorld) -> BreakdownReport {
+        let started = world.prof.begin();
+        let breakdown = self
+            .engine
+            .snapshot(world.host.mm(), &world.views())
+            .breakdown();
+        let frames = world.host.mm().phys().allocated_frames() as u64;
+        world.prof.end("attribution", started, 0, frames);
+        breakdown
+    }
+}
+
+/// The host half of every world's tick, run after the guests: khugepaged
+/// at second boundaries, the KSM warm-up → steady parameter switch, and
+/// the scanner wake. Both [`TickWorld`] and the traffic world embed one,
+/// so both advance their host the same way.
+pub(crate) struct HostTail {
+    pub(crate) scanner: KsmScanner,
+    steady: KsmParams,
+    warmup_end: Tick,
+    switched: bool,
+    /// Audit conservation at every recount. Debug builds audit
+    /// unconditionally, so every test that runs a world also checks it;
+    /// `--audit` extends the check to release runs.
+    pub(crate) audit: bool,
+}
+
+impl HostTail {
+    pub(crate) fn new(config: &ExperimentConfig) -> HostTail {
+        HostTail {
+            scanner: KsmScanner::new(config.ksm.warmup).with_threads(config.threads),
+            steady: config.ksm.steady,
+            warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
+            switched: false,
+            audit: config.audit || cfg!(debug_assertions),
+        }
+    }
+
+    /// Runs the host daemons for tick `now`. khugepaged runs once per
+    /// simulated second, between the guest ticks and the KSM wake (like
+    /// the real kernel's independent kthreads, collapse and merge
+    /// interleave); the scanner switches to its steady parameters once
+    /// warm-up ends.
+    pub(crate) fn run(&mut self, host: &mut KvmHost, now: Tick) {
+        if now.0.is_multiple_of(mem::TICKS_PER_SECOND) {
+            host.thp_scan(now);
+        }
+        if !self.switched && now >= self.warmup_end {
+            self.scanner.set_params(self.steady);
+            self.switched = true;
+        }
+        self.scanner.run(host.mm_mut(), now);
+    }
+}
+
+/// A booted tick-model world that can be advanced one tick at a time:
+/// guest/JVM ticks, then the [`HostTail`]. [`run_to_end`](Self::run_to_end)
+/// is the loop behind [`Experiment::run`] and
+/// [`Experiment::build_world`]. The monitoring daemon drives the same
+/// steps but pauses between published epochs, so a daemon world at
+/// simulated second `s` is byte-identical to `build_world` over a config
+/// with `duration_seconds == s`.
+pub(crate) struct TickWorld {
+    pub(crate) host: KvmHost,
+    pub(crate) javas: Vec<JavaVm>,
+    pub(crate) tail: HostTail,
+    /// Per-phase profile; records nothing unless `config.profile` is set.
+    prof: Profiler,
+    /// The report's cache rows: name, class count, used MiB.
+    caches: Vec<(String, usize, f64)>,
+}
+
+impl TickWorld {
+    /// Boots the configured world (no ticks yet).
+    pub(crate) fn new(config: &ExperimentConfig) -> TickWorld {
+        let mut prof = if config.profile {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
+        let started = prof.begin();
+        let (host, javas, caches, _) = boot_world(config);
+        prof.end(
+            "setup",
+            started,
+            0,
+            host.mm().phys().allocated_frames() as u64,
+        );
+        TickWorld {
+            host,
+            javas,
+            tail: HostTail::new(config),
+            prof,
             caches: caches
                 .values()
                 .map(|c| {
@@ -272,57 +302,47 @@ impl Experiment {
                     )
                 })
                 .collect(),
-            timeline,
-            merge_miss,
-            phases,
-            trace,
-        })
-    }
-}
-
-/// A booted tick-model world that can be advanced one tick at a time:
-/// guest/JVM ticks, khugepaged at second boundaries, the KSM warm-up →
-/// steady parameter switch, and the scanner wake — exactly the per-tick
-/// body of [`Experiment::build_world`], which is a plain loop over
-/// [`step`](Self::step). The monitoring daemon drives the same steps
-/// but pauses between published epochs, so a daemon world at simulated
-/// second `s` is byte-identical to `build_world` over a config with
-/// `duration_seconds == s`.
-pub(crate) struct TickWorld {
-    pub(crate) host: KvmHost,
-    pub(crate) javas: Vec<JavaVm>,
-    pub(crate) scanner: KsmScanner,
-    steady: ksm::KsmParams,
-    warmup_end: Tick,
-    switched: bool,
-}
-
-impl TickWorld {
-    /// Boots the configured world (no ticks yet).
-    pub(crate) fn new(config: &ExperimentConfig) -> TickWorld {
-        let (host, javas, ..) = boot_world(config);
-        TickWorld {
-            host,
-            javas,
-            scanner: KsmScanner::new(config.ksm.warmup).with_threads(config.threads),
-            steady: config.ksm.steady,
-            warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
-            switched: false,
         }
+    }
+
+    /// Boots `config`'s world and steps it through the configured
+    /// duration, handing the world and the tick to `on_tick` after
+    /// every step.
+    pub(crate) fn run_to_end(
+        config: &ExperimentConfig,
+        mut on_tick: impl FnMut(&mut TickWorld, Tick),
+    ) -> TickWorld {
+        let mut world = TickWorld::new(config);
+        for t in 1..=Tick::from_seconds(config.duration_seconds as f64).0 {
+            world.step(t);
+            on_tick(&mut world, Tick(t));
+        }
+        world
     }
 
     /// Advances the world through tick `t` (1-based).
     pub(crate) fn step(&mut self, t: u64) {
         let now = Tick(t);
+        let started = self.prof.begin();
+        let writes = self.host.mm().phys().total_writes();
         Experiment::tick_world(&mut self.host, &mut self.javas, now);
-        if t.is_multiple_of(mem::TICKS_PER_SECOND) {
-            self.host.thp_scan(now);
+        let written = self.host.mm().phys().total_writes() - writes;
+        self.prof.end("guest_jvm_tick", started, 1, written);
+        // `ksm_scan` times the whole host tail, khugepaged included.
+        let started = self.prof.begin();
+        let scanned = self.tail.scanner.stats().pages_scanned;
+        self.tail.run(&mut self.host, now);
+        let scanned = self.tail.scanner.stats().pages_scanned - scanned;
+        self.prof.end("ksm_scan", started, 1, scanned);
+    }
+
+    /// Recounts the scanner's counters and audits the world when the
+    /// tail audits.
+    pub(crate) fn recount(&mut self) {
+        self.tail.scanner.recount(self.host.mm());
+        if self.tail.audit {
+            audit(&self.host, self.views(), &self.tail.scanner);
         }
-        if !self.switched && now >= self.warmup_end {
-            self.scanner.set_params(self.steady);
-            self.switched = true;
-        }
-        self.scanner.run(self.host.mm_mut(), now);
     }
 
     /// Guest views over the fleet, for attribution snapshots.
@@ -397,24 +417,34 @@ pub(crate) fn boot_world(config: &ExperimentConfig) -> BootedWorld {
     (host, javas, caches, cache_images)
 }
 
-/// Runs the cross-layer conservation audit against the current host
-/// state, panicking with the structured violation on failure. The
-/// scanner's counters must be freshly recounted.
-pub(crate) fn audit_world(host: &KvmHost, javas: &[JavaVm], scanner: &KsmScanner) {
-    let views: Vec<GuestView<'_>> = host
-        .guests()
-        .iter()
-        .zip(javas)
-        .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
-        .collect();
+/// Runs the cross-layer conservation audit over `guests`, panicking
+/// with the structured violation on failure. The scanner's counters
+/// must be freshly recounted.
+pub(crate) fn audit(host: &KvmHost, guests: Vec<GuestView<'_>>, scanner: &KsmScanner) {
     let world = audit::World {
         mm: host.mm(),
-        guests: views,
+        guests,
         scanner: Some(scanner),
     };
     if let Err(violation) = audit::check_world(&world) {
         panic!("memory-accounting audit failed: {violation}");
     }
+}
+
+/// TLB-reach credit: huge mappings shrink the page-walk overhead,
+/// recovering some of the paging slowdown — never beyond the healthy
+/// rate. Returns the boost for the host's huge-mapped fraction and the
+/// service factor it gives a paging slowdown. With no huge pages the
+/// boost is exactly 1.0 and the service factor is the pure slowdown.
+pub(crate) fn tlb_credit(host: &KvmHost, paging: &PagingModel) -> (f64, impl Fn(f64) -> f64) {
+    let allocated = host.mm().phys().allocated_frames();
+    let huge_fraction = if allocated == 0 {
+        0.0
+    } else {
+        host.huge_pages() as f64 / allocated as f64
+    };
+    let boost = paging.tlb_boost(huge_fraction);
+    (boost, move |slowdown: f64| (slowdown * boost).min(1.0))
 }
 
 /// Populates one cache per distinct workload by "running the middleware
@@ -532,6 +562,38 @@ mod tests {
         let report = Experiment::run(&cfg).unwrap();
         assert!(report.ksm.thp_splits > 0, "no splits recorded");
         assert!(report.ksm.pages_sharing > 0);
+    }
+
+    /// `run` adds sampling, auditing, attribution and profiling to the
+    /// step loop; none of it may move the simulated world.
+    #[test]
+    fn run_ends_in_the_world_build_world_builds() {
+        let cfg = ExperimentConfig::tiny_test(2, true)
+            .with_duration_seconds(40)
+            .with_timeline(10)
+            .with_timeline_attribution()
+            .with_profile();
+        let report = Experiment::run(&cfg).unwrap();
+        assert!(report.phases.is_some());
+
+        let (host, javas) = Experiment::build_world(&cfg);
+        assert_eq!(report.resident_mib, host.resident_mib());
+        let views: Vec<GuestView<'_>> = host
+            .guests()
+            .iter()
+            .zip(&javas)
+            .map(|(g, j)| GuestView::new(&g.name, &g.os, vec![j.pid()]))
+            .collect();
+        let breakdown = SnapshotEngine::new(1)
+            .snapshot(host.mm(), &views)
+            .breakdown();
+        assert_eq!(report.breakdown, breakdown);
+        // `build_world` hands out no scanner, so its counters come from
+        // the loop it runs, recounted as `run` recounts at the end.
+        let mut world = TickWorld::run_to_end(&cfg, |_, _| {});
+        world.tail.scanner.recount(world.host.mm());
+        assert_eq!(report.ksm, world.tail.scanner.stats());
+        assert_eq!(world.host.resident_mib(), host.resident_mib());
     }
 
     #[test]

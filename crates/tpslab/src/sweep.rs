@@ -43,12 +43,10 @@ pub fn run_all(
     configs: &[ExperimentConfig],
     threads: usize,
 ) -> Result<Vec<ExperimentReport>, Error> {
-    for config in configs {
-        config.validate()?;
-    }
-    Ok(map_parallel(configs, threads, |config| {
-        Experiment::run(config).expect("config was validated before the sweep started")
-    }))
+    Ok(run_all_timed(configs, threads)?
+        .into_iter()
+        .map(|timed| timed.value)
+        .collect())
 }
 
 /// [`run_all`], with per-run wall-clock timing attached.

@@ -69,7 +69,7 @@ pub fn world_registry(
 }
 
 /// One deterministic scrape of a converged world: runs `config` to its
-/// configured duration (exactly [`Experiment::build_world`]'s loop),
+/// configured duration (the same loop as [`Experiment::build_world`]),
 /// takes one warm attribution snapshot, and renders the
 /// [`obs::MetricClass::Sim`] section of the registry.
 ///
@@ -79,16 +79,11 @@ pub fn world_registry(
 /// [`Experiment::build_world`]: crate::Experiment::build_world
 #[must_use]
 pub fn golden_scrape(config: &ExperimentConfig) -> String {
-    let mut world = TickWorld::new(config);
-    let end = Tick::from_seconds(config.duration_seconds as f64);
-    for t in 1..=end.0 {
-        world.step(t);
-    }
+    let world = TickWorld::run_to_end(config, |_, _| {});
     let mut engine = SnapshotEngine::new(config.threads);
-    let views = world.views();
-    let _ = engine.snapshot(world.host.mm(), &views);
-    drop(views);
-    world_registry(&world.host, &world.scanner, &engine, end).render_deterministic()
+    let _ = engine.snapshot(world.host.mm(), &world.views());
+    let end = Tick::from_seconds(config.duration_seconds as f64);
+    world_registry(&world.host, &world.tail.scanner, &engine, end).render_deterministic()
 }
 
 #[cfg(test)]

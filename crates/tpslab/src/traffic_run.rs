@@ -21,8 +21,9 @@
 //! per-shard [`MemTape`]s. The commit phase then walks the batch in
 //! its original `(due_tick, seq)` order, applying host-global events
 //! live and replaying each guest's next tape segment in place of its
-//! local events. Frame ids, rmap contents and the trace stream are
-//! byte-identical at any `threads` setting.
+//! local events. Every batch takes this one path, at one thread too, so
+//! frame ids, rmap contents and the trace stream are byte-identical at
+//! any `threads` setting by construction.
 //!
 //! Per-guest serving capacity is snapshotted once per batch, *before*
 //! any event applies (see [`TrafficWorld::capacity_snapshot`]), so the
@@ -37,17 +38,17 @@
 //! O(guests), per tick. Reports are byte-identical at any `threads`
 //! setting and across platforms (see DESIGN.md §11).
 
-use crate::run::{boot_world, cold_estimate_mib, mix, JVM_VERSION};
+use crate::run::{audit, boot_world, cold_estimate_mib, mix, tlb_credit, HostTail, JVM_VERSION};
 use crate::{Error, Experiment, ExperimentConfig};
 use analysis::GuestView;
 use cds::SharedClassCache;
 use hypervisor::{KvmHost, PagingModel};
 use jvm::{JavaVm, JvmConfig, RequestCost};
-use ksm::{KsmScanner, KsmStats};
+use ksm::KsmStats;
 use mem::Tick;
 use obs::EventKind;
 use oskernel::{GuestOs, Pid};
-use paging::{MemSink, MemTape};
+use paging::{HostMm, MemSink, MemTape};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -219,6 +220,19 @@ impl TrafficReport {
         out
     }
 
+    /// Counts one request event into the fleet-wide and per-guest
+    /// tallies.
+    fn tally(&mut self, guest: usize, offered: u64, served: u64) {
+        let dropped = offered - served;
+        self.offered += offered;
+        self.served += served;
+        self.dropped += dropped;
+        let g = &mut self.per_guest[guest];
+        g.offered += offered;
+        g.served += served;
+        g.dropped += dropped;
+    }
+
     /// Exports the run's deterministic traffic counters into `reg`:
     /// fleet-wide and per-guest offered/served/shed, churn counts, and
     /// the sharing-stability gauge. All series are simulated-state and
@@ -307,18 +321,15 @@ pub(crate) struct GuestSlot {
 }
 
 /// Guest-local work the plan phase can run off the main thread. The
-/// served/shed split of a request batch is precomputed at
-/// classification time from the batch-start capacity snapshot, so the
-/// same numbers flow into the report, the trace stream and the JVM
-/// regardless of which path executes the event.
+/// served/shed split of a request batch is made (and tallied) once, by
+/// [`TrafficWorld::split_requests`], so the same numbers flow into the
+/// report, the trace stream and the JVM.
 #[derive(Debug, Clone, Copy)]
 enum LocalKind {
     /// One engine start-up tick for the guest's JVM.
     Startup,
     /// A request batch, already split against the capacity snapshot.
     Requests {
-        /// Requests routed to the guest this event.
-        offered: u64,
         /// Requests within the snapshot capacity (0 while drained).
         served: u64,
         /// Requests shed.
@@ -328,34 +339,42 @@ enum LocalKind {
 
 /// One batch entry, in original `(due_tick, seq)` order.
 enum BatchItem {
-    /// Host-global work: applied live, serially, at commit.
+    /// Host-global work, and every event of a guest churned this batch:
+    /// applied live, serially, at commit.
     Serial(Tick, WorkloadEvent),
-    /// Guest-local work: planned on the pool, replayed at commit.
-    Local {
-        at: Tick,
-        guest: usize,
-        kind: LocalKind,
-    },
+    /// The named guest's next guest-local event: planned into its tape,
+    /// replayed at commit.
+    Local(usize),
 }
 
-/// One guest's share of a batch during the parallel plan phase: the
-/// guest's own simulator state plus a private tape for host effects.
+/// One guest's share of a batch during the plan phase: the guest's own
+/// simulator state plus a private tape for host effects.
 struct PlanShard<'a> {
     guest: usize,
     events: Vec<(Tick, LocalKind)>,
     os: &'a mut GuestOs,
     slot: &'a mut GuestSlot,
-    tape: MemTape,
-    seg_ends: Vec<usize>,
+    tape: PlannedTape,
 }
 
 /// A planned guest's tape, detached from the guest borrows so the
-/// commit phase can mutate the host again. `seg_ends[i]` brackets the
-/// ops recorded by the guest's `i`-th local event.
+/// commit phase can mutate the host again. The guest's `i`-th local
+/// event recorded ops `bounds[i]..bounds[i + 1]`.
 struct PlannedTape {
-    guest: usize,
     tape: MemTape,
-    seg_ends: Vec<usize>,
+    bounds: Vec<usize>,
+    /// Events replayed so far.
+    replayed: usize,
+}
+
+impl PlannedTape {
+    /// Replays the next event's segment into `mm`.
+    fn replay_next(&mut self, mm: &mut HostMm) {
+        let i = self.replayed;
+        self.tape
+            .replay_range(mm, self.bounds[i]..self.bounds[i + 1]);
+        self.replayed += 1;
+    }
 }
 
 /// A booted traffic world that can be advanced one tick at a time.
@@ -370,18 +389,15 @@ pub(crate) struct TrafficWorld {
     pub(crate) host: KvmHost,
     pub(crate) slots: Vec<GuestSlot>,
     cold_per_guest: Vec<f64>,
-    audit_enabled: bool,
-    pub(crate) scanner: KsmScanner,
+    pub(crate) tail: HostTail,
     engine: TrafficEngine,
     healthy_rps: f64,
-    warmup_end: Tick,
     pub(crate) end: Tick,
     sample_ticks: u64,
-    switched: bool,
     pub(crate) wall: TrafficWall,
     pub(crate) report: TrafficReport,
-    window_offered: u64,
-    window_served: u64,
+    /// Fleet-wide `(offered, served)` totals at the previous sample.
+    sampled: (u64, u64),
 }
 
 impl TrafficWorld {
@@ -465,18 +481,14 @@ impl TrafficWorld {
             host,
             slots,
             cold_per_guest,
-            audit_enabled: config.audit || cfg!(debug_assertions),
-            scanner: KsmScanner::new(config.ksm.warmup).with_threads(config.threads),
+            tail: HostTail::new(config),
             engine,
             healthy_rps,
-            warmup_end: Tick::from_seconds(config.ksm.warmup_seconds as f64),
             end: Tick::from_seconds(config.duration_seconds as f64),
             sample_ticks: SAMPLE_SECONDS * u64::from(mem::TICKS_PER_SECOND as u32),
-            switched: false,
             wall: TrafficWall::default(),
             report,
-            window_offered: 0,
-            window_served: 0,
+            sampled: (0, 0),
         })
     }
 
@@ -491,32 +503,30 @@ impl TrafficWorld {
         self.wall.drain_ns += drain_start.elapsed().as_nanos() as u64;
         self.apply_batch(&batch);
         let scan_start = Instant::now();
-        // khugepaged, once per simulated second (same cadence and
-        // ordering as the tick-model loop in `run`).
-        if t.is_multiple_of(mem::TICKS_PER_SECOND) {
-            self.host.thp_scan(now);
-        }
-        if !self.switched && now >= self.warmup_end {
-            self.scanner.set_params(self.config.ksm.steady);
-            self.switched = true;
-        }
-        self.scanner.run(self.host.mm_mut(), now);
+        self.tail.run(&mut self.host, now);
         if t.is_multiple_of(self.sample_ticks) || t == self.end.0 {
-            self.scanner.recount(self.host.mm());
-            if self.audit_enabled {
-                audit_traffic(&self.host, &self.slots, &self.scanner);
-            }
+            self.recount();
+            let totals = (self.report.offered, self.report.served);
             self.report.samples.push(TrafficSample {
                 seconds: now.as_seconds(),
                 active_guests: self.slots.iter().filter(|s| s.java.is_some()).count(),
-                offered: self.window_offered,
-                served: self.window_served,
-                pages_sharing: self.scanner.stats().pages_sharing,
+                offered: totals.0 - self.sampled.0,
+                served: totals.1 - self.sampled.1,
+                pages_sharing: self.tail.scanner.stats().pages_sharing,
             });
-            (self.window_offered, self.window_served) = (0, 0);
+            self.sampled = totals;
         }
         self.wall.scan_ns += scan_start.elapsed().as_nanos() as u64;
-        self.wall.scan_parallel_ns = self.scanner.wake_totals().parallel_nanos();
+        self.wall.scan_parallel_ns = self.tail.scanner.wake_totals().parallel_nanos();
+    }
+
+    /// Recounts the scanner's counters and audits the world when the
+    /// tail audits.
+    fn recount(&mut self) {
+        self.tail.scanner.recount(self.host.mm());
+        if self.tail.audit {
+            audit(&self.host, self.views(), &self.tail.scanner);
+        }
     }
 
     /// Serving capacity per guest for one batch, snapshotted before any
@@ -525,8 +535,8 @@ impl TrafficWorld {
     /// whatever fraction of memory is huge-mapped. Offered load past it
     /// is shed. A single pre-batch snapshot (rather than a lazy
     /// per-second cache) makes every request's served/shed split a pure
-    /// function of batch-start state — identical on the serial and
-    /// parallel paths. Empty when the batch carries no requests.
+    /// function of batch-start state, whatever the thread count. Empty
+    /// when the batch carries no requests.
     fn capacity_snapshot(&self, batch: &[(Tick, WorkloadEvent)]) -> Vec<u64> {
         if !batch
             .iter()
@@ -543,15 +553,8 @@ impl TrafficWorld {
             .sum();
         let model = PagingModel::default();
         let resident = self.host.resident_mib();
-        let allocated = self.host.mm().phys().allocated_frames();
-        let huge_fraction = if allocated == 0 {
-            0.0
-        } else {
-            self.host.huge_pages() as f64 / allocated as f64
-        };
-        // Exactly 1.0 with no huge pages, so non-THP capacity is
-        // unchanged by the TLB-reach credit.
-        let boost = model.tlb_boost(huge_fraction);
+        // Non-THP capacity is unchanged by the TLB-reach credit.
+        let (_, service) = tlb_credit(&self.host, &model);
         self.cold_per_guest
             .iter()
             .map(|&cold| {
@@ -561,16 +564,14 @@ impl TrafficWorld {
                     self.config.host.reserve_mib,
                     cold_active + cold,
                 );
-                (self.healthy_rps * (slowdown * boost).min(1.0))
-                    .ceil()
-                    .max(1.0) as u64
+                (self.healthy_rps * service(slowdown)).ceil().max(1.0) as u64
             })
             .collect()
     }
 
     /// Applies one drained batch: classify into guest-local versus
-    /// host-global work, plan the local work (on the pool when it spans
-    /// more than one guest), then commit everything in original order.
+    /// host-global work, plan the local work into per-guest tapes (on
+    /// the pool), then commit everything in original order.
     fn apply_batch(&mut self, batch: &[(Tick, WorkloadEvent)]) {
         if batch.is_empty() {
             return;
@@ -595,65 +596,63 @@ impl TrafficWorld {
 
         let mut items: Vec<BatchItem> = Vec::with_capacity(batch.len());
         let mut local_events: Vec<Vec<(Tick, LocalKind)>> = vec![Vec::new(); n];
-        let mut local_guests = 0usize;
         for &(at, event) in batch {
             let local = match event {
                 WorkloadEvent::StartupTick { guest } if !serial_guest[guest] => {
                     Some((guest, LocalKind::Startup))
                 }
+                // JVM presence is batch-constant for non-churned guests,
+                // so the split is final here.
                 WorkloadEvent::Requests { guest, offered } if !serial_guest[guest] => {
-                    // JVM presence is batch-constant for non-churned
-                    // guests, so the split is final here.
-                    let kind = if self.slots[guest].java.is_some() {
-                        let served = offered.min(caps[guest]);
-                        LocalKind::Requests {
-                            offered,
-                            served,
-                            dropped: offered - served,
-                        }
-                    } else {
-                        LocalKind::Requests {
-                            offered,
-                            served: 0,
-                            dropped: offered,
-                        }
-                    };
-                    Some((guest, kind))
+                    Some((guest, self.split_requests(guest, offered, &caps)))
                 }
                 _ => None,
             };
             match local {
                 Some((guest, kind)) => {
-                    if local_events[guest].is_empty() {
-                        local_guests += 1;
-                    }
                     local_events[guest].push((at, kind));
-                    items.push(BatchItem::Local { at, guest, kind });
+                    items.push(BatchItem::Local(guest));
                 }
                 None => items.push(BatchItem::Serial(at, event)),
             }
         }
-
-        // Plan: run guest-local work on the pool, one shard per guest.
-        // With one thread (or one busy guest) planning would only add
-        // tape overhead, so those batches commit directly instead.
-        let planned = if self.config.threads > 1 && local_guests > 1 {
-            self.plan_parallel(&mut local_events)
-        } else {
-            Vec::new()
-        };
+        let mut tapes = self.plan(&mut local_events);
         self.wall.plan_ns += plan_start.elapsed().as_nanos() as u64;
 
         let commit_start = Instant::now();
-        self.commit(&items, &caps, &planned);
+        for item in items {
+            match item {
+                BatchItem::Serial(at, event) => self.apply_serial_event(&caps, at, event),
+                BatchItem::Local(guest) => tapes[guest]
+                    .as_mut()
+                    .expect("every local event was planned")
+                    .replay_next(self.host.mm_mut()),
+            }
+        }
         self.wall.commit_ns += commit_start.elapsed().as_nanos() as u64;
     }
 
-    /// The parallel plan phase: each busy guest's local events run on
-    /// the worker pool against its own simulator state, recording host
-    /// effects into a private tape. Returns the detached tapes with
-    /// per-event segment boundaries.
-    fn plan_parallel(&mut self, local_events: &mut [Vec<(Tick, LocalKind)>]) -> Vec<PlannedTape> {
+    /// Splits `offered` requests to `guest` against its snapshot
+    /// capacity (a drained guest sheds them all) and tallies them into
+    /// the report.
+    fn split_requests(&mut self, guest: usize, offered: u64, caps: &[u64]) -> LocalKind {
+        let served = if self.slots[guest].java.is_some() {
+            offered.min(caps[guest])
+        } else {
+            0
+        };
+        self.report.tally(guest, offered, served);
+        LocalKind::Requests {
+            served,
+            dropped: offered - served,
+        }
+    }
+
+    /// The plan phase: each busy guest's local events run on the worker
+    /// pool against its own simulator state, recording host effects
+    /// into a private tape. Returns the detached tapes, indexed by guest
+    /// (`None` for guests with no local events).
+    fn plan(&mut self, local_events: &mut [Vec<(Tick, LocalKind)>]) -> Vec<Option<PlannedTape>> {
         let threads = self.config.threads;
         let (mm, guests) = self.host.mm_and_guests_mut();
         let trace_enabled = mm.tracer().is_enabled();
@@ -671,84 +670,114 @@ impl TrafficWorld {
                     events,
                     os: &mut kvm.os,
                     slot,
-                    tape: MemTape::new(trace_enabled),
-                    seg_ends: Vec::new(),
+                    tape: PlannedTape {
+                        tape: MemTape::new(trace_enabled),
+                        bounds: Vec::new(),
+                        replayed: 0,
+                    },
                 })
             })
             .collect();
         let _unit: Vec<()> = par::map_sharded(&mut shards, threads, |_, shard| {
-            shard.seg_ends.reserve(shard.events.len());
+            let planned = &mut shard.tape;
+            planned.bounds.reserve(shard.events.len() + 1);
+            planned.bounds.push(0);
             for &(at, kind) in &shard.events {
-                run_local_event(&mut shard.tape, shard.os, shard.slot, at, kind);
-                shard.seg_ends.push(shard.tape.len());
+                run_local_event(&mut planned.tape, shard.os, shard.slot, at, kind);
+                planned.bounds.push(planned.tape.len());
             }
         });
-        shards
-            .into_iter()
-            .map(|s| PlannedTape {
-                guest: s.guest,
-                tape: s.tape,
-                seg_ends: s.seg_ends,
-            })
-            .collect()
+        let mut tapes: Vec<Option<PlannedTape>> = std::iter::repeat_with(|| None)
+            .take(local_events.len())
+            .collect();
+        for shard in shards {
+            tapes[shard.guest] = Some(shard.tape);
+        }
+        tapes
     }
 
-    /// The serial commit phase: walk the batch in original order,
-    /// applying host-global events live, replaying planned guests'
-    /// tape segments, and running unplanned local events directly.
-    fn commit(&mut self, items: &[BatchItem], caps: &[u64], planned: &[PlannedTape]) {
-        let mut shard_of = vec![usize::MAX; self.slots.len()];
-        for (si, p) in planned.iter().enumerate() {
-            shard_of[p.guest] = si;
-        }
-        // (next segment, op offset) per planned guest.
-        let mut cursor: Vec<(usize, usize)> = vec![(0, 0); planned.len()];
-        for item in items {
-            match *item {
-                BatchItem::Serial(at, event) => apply_serial_event(
-                    &self.config,
-                    &self.cache_images,
-                    &mut self.host,
-                    &mut self.slots,
-                    caps,
-                    at,
-                    event,
-                    &mut self.report,
-                    &mut self.window_offered,
-                    &mut self.window_served,
-                ),
-                BatchItem::Local { at, guest, kind } => {
-                    if let LocalKind::Requests {
-                        offered,
-                        served,
-                        dropped,
-                    } = kind
-                    {
-                        self.report.offered += offered;
-                        self.report.served += served;
-                        self.report.dropped += dropped;
-                        let g = &mut self.report.per_guest[guest];
-                        g.offered += offered;
-                        g.served += served;
-                        g.dropped += dropped;
-                        self.window_offered += offered;
-                        self.window_served += served;
-                    }
-                    let si = shard_of[guest];
-                    if si == usize::MAX {
-                        let (mm, g) = self.host.mm_and_guest_mut(guest);
-                        run_local_event(mm, &mut g.os, &mut self.slots[guest], at, kind);
-                    } else {
-                        let (seg, start) = cursor[si];
-                        let end = planned[si].seg_ends[seg];
-                        planned[si]
-                            .tape
-                            .replay_range(self.host.mm_mut(), start..end);
-                        cursor[si] = (seg + 1, end);
-                    }
-                }
+    /// Applies one event live at commit: host-global work (restarts,
+    /// adds, removes, phase markers) and the events of guests churned
+    /// this batch, updating the report tallies.
+    fn apply_serial_event(&mut self, caps: &[u64], at: Tick, event: WorkloadEvent) {
+        let local = match event {
+            WorkloadEvent::StartupTick { guest } => Some((guest, LocalKind::Startup)),
+            WorkloadEvent::Requests { guest, offered } => {
+                Some((guest, self.split_requests(guest, offered, caps)))
             }
+            WorkloadEvent::RestartGuest { guest } => {
+                self.report.restarts += 1;
+                self.relaunch(guest, at);
+                None
+            }
+            WorkloadEvent::AddGuest { guest } => {
+                self.report.scale_ups += 1;
+                if self.slots[guest].java.is_none() {
+                    // Skip the idle gap: a drained guest's kernel was
+                    // quiesced, not accruing churn debt.
+                    self.slots[guest].churned_to = at.0;
+                    self.relaunch(guest, at);
+                }
+                None
+            }
+            WorkloadEvent::RemoveGuest { guest } => {
+                self.report.scale_downs += 1;
+                let slot = &mut self.slots[guest];
+                if let Some(java) = slot.java.take() {
+                    let (mm, g) = self.host.mm_and_guest_mut(guest);
+                    catch_up_kernel(mm, &mut g.os, slot, at);
+                    g.os.kill(mm, java.pid());
+                    slot.pids.clear();
+                }
+                None
+            }
+            WorkloadEvent::Phase { phase, offered_rps } => {
+                let tracer = self.host.mm().tracer();
+                tracer.set_now(at.0);
+                tracer.emit_with(|| EventKind::TrafficPhase {
+                    phase,
+                    offered_rps: offered_rps.round() as u64,
+                });
+                None
+            }
+        };
+        if let Some((guest, kind)) = local {
+            let (mm, g) = self.host.mm_and_guest_mut(guest);
+            run_local_event(mm, &mut g.os, &mut self.slots[guest], at, kind);
         }
+    }
+
+    /// Kills the guest's current JVM (if any) and launches a fresh one
+    /// with a new process salt and its own copy of the shared class
+    /// cache.
+    fn relaunch(&mut self, guest: usize, at: Tick) {
+        let spec = &self.config.guests[guest];
+        let slot = &mut self.slots[guest];
+        let (mm, g) = self.host.mm_and_guest_mut(guest);
+        catch_up_kernel(mm, &mut g.os, slot, at);
+        slot.generation += 1;
+        if let Some(java) = slot.java.take() {
+            g.os.kill(mm, java.pid());
+        }
+        let mut cfg = JvmConfig::new(
+            JVM_VERSION,
+            mix(
+                self.config.seed,
+                0x9a17 ^ (slot.generation << 16),
+                guest as u64,
+            ),
+        );
+        // The fresh process re-reads its guest's cache file: a
+        // byte-identical copy decoded from the same master image the
+        // boot used.
+        if let Some(bytes) = self.cache_images.get(&spec.benchmark.profile.workload_id) {
+            let copy = SharedClassCache::from_bytes(bytes).expect("cache image decodes");
+            cfg = cfg.with_shared_cache(copy);
+        }
+        let vm = JavaVm::launch(mm, &mut g.os, cfg, spec.benchmark.profile.clone(), at);
+        slot.pids.clear();
+        slot.pids.push(vm.pid());
+        slot.java = Some(vm);
     }
 
     /// Settles kernel churn for every still-active guest so the final
@@ -763,13 +792,10 @@ impl TrafficWorld {
                 catch_up_kernel(mm, &mut g.os, slot, end);
             }
         }
-        self.scanner.recount(self.host.mm());
-        if self.audit_enabled {
-            audit_traffic(&self.host, &self.slots, &self.scanner);
-        }
+        self.recount();
 
         let mut report = self.report;
-        report.ksm = self.scanner.stats();
+        report.ksm = self.tail.scanner.stats();
         report.resident_mib = self.host.resident_mib();
         report.huge_mib = self.host.huge_mib();
         report.throughput_rps = report.served as f64 / self.config.duration_seconds as f64;
@@ -827,10 +853,9 @@ impl Experiment {
     }
 }
 
-/// Runs one guest-local event against any [`MemSink`] — the real
-/// [`HostMm`](paging::HostMm) on the serial path, a [`MemTape`] during
-/// the parallel plan. Shared so both paths execute the exact same op
-/// sequence by construction.
+/// Runs one guest-local event against any [`MemSink`]: a [`MemTape`]
+/// during the plan, or the real [`HostMm`] when a churned guest's
+/// events apply live at commit.
 fn run_local_event<M: MemSink>(
     mm: &mut M,
     os: &mut GuestOs,
@@ -868,122 +893,6 @@ fn run_local_event<M: MemSink>(
     }
 }
 
-/// Applies one host-global workload event live, updating the report
-/// tallies. Guest-local events route through [`run_local_event`] with
-/// the same capacity snapshot the parallel plan used.
-#[allow(clippy::too_many_arguments)]
-fn apply_serial_event(
-    config: &ExperimentConfig,
-    cache_images: &HashMap<u64, Vec<u8>>,
-    host: &mut KvmHost,
-    slots: &mut [GuestSlot],
-    caps: &[u64],
-    at: Tick,
-    event: WorkloadEvent,
-    report: &mut TrafficReport,
-    window_offered: &mut u64,
-    window_served: &mut u64,
-) {
-    match event {
-        WorkloadEvent::StartupTick { guest } => {
-            let (mm, g) = host.mm_and_guest_mut(guest);
-            run_local_event(mm, &mut g.os, &mut slots[guest], at, LocalKind::Startup);
-        }
-        WorkloadEvent::Requests { guest, offered } => {
-            report.offered += offered;
-            report.per_guest[guest].offered += offered;
-            *window_offered += offered;
-            let (served, dropped) = if slots[guest].java.is_some() {
-                let served = offered.min(caps[guest]);
-                (served, offered - served)
-            } else {
-                (0, offered)
-            };
-            let (mm, g) = host.mm_and_guest_mut(guest);
-            run_local_event(
-                mm,
-                &mut g.os,
-                &mut slots[guest],
-                at,
-                LocalKind::Requests {
-                    offered,
-                    served,
-                    dropped,
-                },
-            );
-            report.served += served;
-            report.dropped += dropped;
-            report.per_guest[guest].served += served;
-            report.per_guest[guest].dropped += dropped;
-            *window_served += served;
-        }
-        WorkloadEvent::RestartGuest { guest } => {
-            report.restarts += 1;
-            relaunch(config, cache_images, host, slots, guest, at);
-        }
-        WorkloadEvent::AddGuest { guest } => {
-            report.scale_ups += 1;
-            if slots[guest].java.is_none() {
-                // Skip the idle gap: a drained guest's kernel was
-                // quiesced, not accruing churn debt.
-                slots[guest].churned_to = at.0;
-                relaunch(config, cache_images, host, slots, guest, at);
-            }
-        }
-        WorkloadEvent::RemoveGuest { guest } => {
-            report.scale_downs += 1;
-            if let Some(java) = slots[guest].java.take() {
-                let (mm, g) = host.mm_and_guest_mut(guest);
-                catch_up_kernel(mm, &mut g.os, &mut slots[guest], at);
-                g.os.kill(mm, java.pid());
-                slots[guest].pids.clear();
-            }
-        }
-        WorkloadEvent::Phase { phase, offered_rps } => {
-            let tracer = host.mm().tracer();
-            tracer.set_now(at.0);
-            tracer.emit_with(|| EventKind::TrafficPhase {
-                phase,
-                offered_rps: offered_rps.round() as u64,
-            });
-        }
-    }
-}
-
-/// Kills the guest's current JVM (if any) and launches a fresh one with
-/// a new process salt and its own copy of the shared class cache.
-fn relaunch(
-    config: &ExperimentConfig,
-    cache_images: &HashMap<u64, Vec<u8>>,
-    host: &mut KvmHost,
-    slots: &mut [GuestSlot],
-    guest: usize,
-    at: Tick,
-) {
-    let spec = &config.guests[guest];
-    let slot = &mut slots[guest];
-    let (mm, g) = host.mm_and_guest_mut(guest);
-    catch_up_kernel(mm, &mut g.os, slot, at);
-    slot.generation += 1;
-    if let Some(java) = slot.java.take() {
-        g.os.kill(mm, java.pid());
-    }
-    let mut cfg = JvmConfig::new(
-        JVM_VERSION,
-        mix(config.seed, 0x9a17 ^ (slot.generation << 16), guest as u64),
-    );
-    // The fresh process re-reads its guest's cache file: a byte-identical
-    // copy decoded from the same master image the boot used.
-    if let Some(bytes) = cache_images.get(&spec.benchmark.profile.workload_id) {
-        let copy = SharedClassCache::from_bytes(bytes).expect("cache image decodes");
-        cfg = cfg.with_shared_cache(copy);
-    }
-    let vm = JavaVm::launch(mm, &mut g.os, cfg, spec.benchmark.profile.clone(), at);
-    slot.pids.clear();
-    slot.pids.push(vm.pid());
-    slot.java = Some(vm);
-}
-
 /// Advances a guest's kernel background churn from wherever it last ran
 /// to `at`, in one batched call against any [`MemSink`].
 fn catch_up_kernel<M: MemSink>(mm: &mut M, os: &mut GuestOs, slot: &mut GuestSlot, at: Tick) {
@@ -993,25 +902,6 @@ fn catch_up_kernel<M: MemSink>(mm: &mut M, os: &mut GuestOs, slot: &mut GuestSlo
     }
     os.tick_many(mm, at, ticks as u32);
     slot.churned_to = at.0;
-}
-
-/// The cross-layer conservation audit over a traffic-run world, where
-/// drained guests have no JVM process.
-fn audit_traffic(host: &KvmHost, slots: &[GuestSlot], scanner: &KsmScanner) {
-    let views: Vec<GuestView<'_>> = host
-        .guests()
-        .iter()
-        .zip(slots)
-        .map(|(g, slot)| GuestView::borrowed(&g.name, &g.os, &slot.pids))
-        .collect();
-    let world = audit::World {
-        mm: host.mm(),
-        guests: views,
-        scanner: Some(scanner),
-    };
-    if let Err(violation) = audit::check_world(&world) {
-        panic!("memory-accounting audit failed under traffic: {violation}");
-    }
 }
 
 /// Sharing stability over the second half of the samples: how little
